@@ -73,12 +73,12 @@ def test_bench_autotune_fidelity_and_cache_reuse(bench_decomposer, tmp_path):
     # --- cache reuse: warm study re-tunes for free --------------------------
     clear_experiment_caches()
     start = time.perf_counter()
-    cold = run_study(**kwargs, workers=1, pipeline="auto")
+    cold = run_study(**kwargs, pipeline="auto")
     t_cold = time.perf_counter() - start
     tuner_after_cold = global_tuner_cache().stats()
 
     start = time.perf_counter()
-    warm = run_study(**kwargs, workers=1, pipeline="auto")
+    warm = run_study(**kwargs, pipeline="auto")
     t_warm = time.perf_counter() - start
     tuner_after_warm = global_tuner_cache().stats()
 

@@ -143,7 +143,6 @@ def test_bench_batched_sweep_study_warm_replay(
         },
         error_scales={"FullfSim-2x": 2.0, "FullfSim-3x": 3.0},
         decomposer=bench_decomposer,
-        workers=1,
     )
 
     def rows(study):

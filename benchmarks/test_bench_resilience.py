@@ -75,7 +75,7 @@ def test_resilience_inert_vs_chaos(
     clear_experiment_caches()
     # Inert cold run under pytest-benchmark timing: the layer's default
     # cost on the critical path (fault points consulted, zero plans).
-    inert = run_once(lambda: run_study(**kwargs, workers=1))
+    inert = run_once(lambda: run_study(**kwargs))
     assert inert.resilience.get("retries", 0) == 0
 
     # Chaos cold run (timed manually: pytest-benchmark owns the fixture's
@@ -87,7 +87,6 @@ def test_resilience_inert_vs_chaos(
     with pytest.warns(RuntimeWarning, match="resilience:"):
         chaos = run_study(
             **kwargs,
-            workers=1,
             cache_dir=str(tmp_path / "chaos-cache"),
             retry_policy=RetryPolicy(max_attempts=3, base_delay=0.001, seed=7),
         )

@@ -52,7 +52,6 @@ study = run_study(
     },
     decomposer=NuOpDecomposer(seed=21),
     options=SimulationOptions(shots=2000, seed=6),
-    workers=1,
 )
 elapsed = time.perf_counter() - start
 report = study.format_table() + "\\n" + study.format_pass_stats()

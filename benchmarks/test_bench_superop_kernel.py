@@ -114,7 +114,6 @@ def test_bench_fused_study_end_to_end(bench_decomposer, bench_json_record, monke
             "G3": google_instruction_set("G3"),
         },
         decomposer=bench_decomposer,
-        workers=1,
     )
 
     # Warm the compilation tier once so both timed runs measure the

@@ -58,7 +58,7 @@ def _scale(
         else:
             print(
                 f"warning: --workers has no effect on {config_class.__name__} "
-                "(this experiment runs no engine studies)",
+                "(only the Figure 6 decomposition fan-out uses a worker pool)",
                 file=sys.stderr,
             )
     if pipeline is not None:
@@ -176,9 +176,12 @@ def _cmd_fig11b(args: argparse.Namespace) -> str:
         from repro.experiments.fig10 import Figure10Config
 
         config = Figure11bConfig(figure10_config=Figure10Config.paper_scale())
-    workers = getattr(args, "workers", None)
-    if workers is not None and config.figure10_config is not None:
-        config.figure10_config.workers = workers
+    if getattr(args, "workers", None) is not None:
+        print(
+            "warning: --workers has no effect on Figure11bConfig "
+            "(only the Figure 6 decomposition fan-out uses a worker pool)",
+            file=sys.stderr,
+        )
     return run_figure11b(config).format_table()
 
 
@@ -813,7 +816,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--workers",
             type=int,
             default=None,
-            help="experiment-engine worker pool size (1 = serial, 0 = all cores); "
+            help="worker pool size for the Figure 6 decomposition fan-out "
+            "(1 = serial, 0 = all cores); other experiments warn and ignore it; "
             "results are bit-identical for every value",
         )
         sub.add_argument(

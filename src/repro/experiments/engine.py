@@ -6,7 +6,8 @@ instruction set (optionally at several error scales), simulate the
 compiled circuit noisily, and score the measured distribution against the
 ideal one.  The legacy :func:`repro.experiments.runner.run_instruction_set_study`
 executed that workflow as a fully serial double loop; this module turns it
-into an explicit job graph executed by a configurable worker pool.
+into an explicit job graph whose nodes are cached and, for error-scale
+sweeps, simulated as batched passes.
 
 Architecture
 ------------
@@ -32,11 +33,11 @@ Compile nodes consequently execute serially in canonical order (the order
 the legacy double loop used), which is cheap because they are backed by
 the compilation cache.  Simulate/score nodes are *pure*: they read the
 device calibration but never advance any shared RNG (each job seeds its
-own generator from ``SimulationOptions.seed``), so they run concurrently
-on the worker pool, and the merge node folds results in canonical job
-order regardless of completion order.  ``workers=1`` and ``workers=N``
-are bit-identical, and both are bit-identical to the legacy serial loop
--- the property ``tests/test_engine_determinism.py`` pins down.
+own generator from ``SimulationOptions.seed``), so they may run in any
+order -- batched, retried, or on the ``repro serve`` executor -- and the
+merge node folds results in canonical job order regardless.  The engine
+is bit-identical to the legacy serial loop, the property
+``tests/test_engine_determinism.py`` pins down.
 
 Simulate nodes are backed by a **simulation-result cache** with the same
 two-tier layout as compilation: a process-wide memory LRU plus the
@@ -49,12 +50,10 @@ and the simulation options -- so a warm re-run of a study, even in a
 fresh process, serves every simulate node from cache with **zero backend
 invocations** (`benchmarks/test_bench_sim_cache.py` proves it).
 
-Workers default to processes (simulation is dominated by small-matrix
-numpy kernels that hold the GIL); the engine transparently falls back to
-threads, and then to inline execution, when the platform cannot spawn or
-feed a process pool.  Worker payloads are the immutable noise program
-plus plain option scalars -- the engine no longer deep-copies the
-``Device`` per simulate job.
+There is no study-level worker pool: compiles are serial and simulation
+is a few percent of a study, so a pool of two measured no faster than
+inline execution on cold Figure 10.  The one pool that pays is
+:func:`run_parallel`, the Figure 6 decomposition fan-out.
 
 Cold simulate nodes run the **fused superoperator kernels** by default
 (:mod:`repro.simulators.superop`); ``REPRO_SIM_KERNEL=reference``
@@ -72,12 +71,7 @@ import pickle
 import threading
 import warnings
 from collections import OrderedDict
-from concurrent.futures import (
-    BrokenExecutor,
-    Executor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -104,7 +98,6 @@ from repro.experiments.runner import (
 )
 from repro.resilience import (
     DEFAULT_RETRYABLE,
-    InjectedFault,
     ResilienceCounters,
     RetryPolicy,
     call_with_retry,
@@ -358,48 +351,15 @@ unpicklable payloads as bare ``TypeError`` and fork refusal as
 fallback emits a warning (never silent) and eventually re-raises."""
 
 
-def _warn_executor_fallback(
-    executor_name: str,
-    error: BaseException,
-    fallback: str = "a slower executor",
-    counters: Optional[ResilienceCounters] = None,
-) -> None:
-    """One warning per degradation, always naming the cause and the target."""
+def _warn_executor_fallback(executor_name: str, error: BaseException) -> None:
+    """One warning per degradation, always naming the cause."""
     count_executor_fallback()
-    if counters is not None:
-        counters.increment("executor_fallbacks")
     warnings.warn(
         f"experiment-engine {executor_name} failed ({type(error).__name__}: {error}); "
-        f"falling back to {fallback} and re-running the affected jobs",
+        "falling back to a slower executor and re-running the affected jobs",
         RuntimeWarning,
         stacklevel=3,
     )
-
-
-def _build_study_pool(
-    workers: int, counters: Optional[ResilienceCounters] = None
-) -> Tuple[Optional[Executor], str]:
-    """Create the study's worker pool: process -> thread -> inline.
-
-    Each degradation step emits one :func:`_warn_executor_fallback`
-    warning naming the failed executor and its cause -- pool creation is
-    never allowed to fail silently (the pre-resilience code swallowed
-    both exceptions bare).  Returns the pool (or ``None`` for inline)
-    plus the executor kind surfaced in ``StudyResult.executor_kind``.
-    """
-    try:
-        return ProcessPoolExecutor(max_workers=workers), "process"
-    except Exception as error:
-        _warn_executor_fallback(
-            "ProcessPoolExecutor", error, fallback="a thread pool", counters=counters
-        )
-    try:
-        return ThreadPoolExecutor(max_workers=workers), "thread"
-    except Exception as error:
-        _warn_executor_fallback(
-            "ThreadPoolExecutor", error, fallback="inline execution", counters=counters
-        )
-    return None, "inline"
 
 
 def resolve_workers(workers: Optional[int]) -> int:
@@ -410,39 +370,6 @@ def resolve_workers(workers: Optional[int]) -> int:
     if workers <= 0:
         return max(os.cpu_count() or 1, 1)
     return workers
-
-
-def _simulate_job(
-    program: NoiseProgram,
-    readout_error: Optional[List[float]],
-    program_order: List[int],
-    options: SimulationOptions,
-    backend: Union[str, SimulatorBackend],
-) -> np.ndarray:
-    """Worker entry point: noisy measured distribution of one compiled job.
-
-    Module-level so process pools can pickle it by reference.  The
-    payload is the immutable noise program, plain scalars and the backend
-    *instance* -- no ``Device`` (and no per-job deep copy of one) crosses
-    the process boundary.  Shipping the instance rather than a name keeps
-    custom backends working: one registered only in the parent process
-    (or never registered at all) would not resolve in a freshly imported
-    worker registry.  Pure: seeds its own RNG from ``options`` and never
-    mutates shared state.
-
-    The ``worker.task`` fault point is consulted here, before any
-    simulation work, so an injected crash/failure models a worker dying
-    at task pickup -- both the pool path and the inline retry path
-    (:func:`execute_prepared_with_retry`) funnel through this function.
-    """
-    maybe_raise_fault("worker.task")
-    return simulate_noise_program(
-        program,
-        options,
-        resolve_backend(backend),
-        readout_error=readout_error,
-        program_order=program_order,
-    )
 
 
 def run_parallel(
@@ -509,16 +436,6 @@ class PreparedJob:
     options: SimulationOptions
     backend: SimulatorBackend
     cache_key: Tuple
-
-    def simulation_arguments(self) -> Tuple:
-        """Positional arguments for :func:`_simulate_job` (picklable)."""
-        return (
-            self.program,
-            self.readout_error,
-            self.program_order,
-            self.options,
-            self.backend,
-        )
 
 
 def prepare_job(
@@ -622,32 +539,18 @@ def execute_prepared_simulation(prepared: PreparedJob) -> np.ndarray:
     state, so schedulers may run prepared jobs concurrently and in any
     order.  Does *not* consult or populate the caches -- pair with
     :func:`fetch_cached_simulation` and :func:`store_simulation`.
+
+    The ``worker.task`` fault point is consulted here, before any
+    simulation work, so an injected crash or failure models the executing
+    worker dying at task pickup; the retry layer re-runs the job.
     """
-    return _simulate_job(*prepared.simulation_arguments())
-
-
-def execute_prepared_with_retry(
-    prepared: PreparedJob,
-    policy: Optional[RetryPolicy] = None,
-    counters: Optional[ResilienceCounters] = None,
-) -> np.ndarray:
-    """:func:`execute_prepared_simulation` under a retry policy.
-
-    Because the job is pure given its prepared ``NoiseProgram``, a retry
-    re-executes bit-identically: no device RNG advances, no cache key
-    changes -- the invariant that lets a chaos run render the same report
-    as a fault-free one.  Transient failures (``DEFAULT_RETRYABLE``) are
-    retried with deterministic backoff; deterministic errors propagate
-    on the first attempt.
-    """
-    job = prepared.job
-    return call_with_retry(
-        lambda: execute_prepared_simulation(prepared),
-        policy,
-        describe=(
-            f"job {job.set_name}#{job.circuit_index}@{job.error_scale:g}x"
-        ),
-        counters=counters,
+    maybe_raise_fault("worker.task")
+    return simulate_noise_program(
+        prepared.program,
+        prepared.options,
+        prepared.backend,
+        readout_error=prepared.readout_error,
+        program_order=prepared.program_order,
     )
 
 
@@ -700,13 +603,16 @@ def group_prepared_for_batch(
     at most :func:`~repro.simulators.superop.max_batch_items` members (the
     ``REPRO_SIM_BATCH_MAX_BYTES`` working-set cap combined with the
     ``SimulationOptions.batch`` group-size knob); unbatchable jobs become
-    singleton groups.  Group order follows first appearance and members
-    keep their input order, so downstream folds stay deterministic.
+    singleton groups, and so does every job whose ``options.batch`` is 1
+    (without computing its signature, so unbatched studies pay no
+    superoperator lowering for grouping).  Group order follows first
+    appearance and members keep their input order, so downstream folds
+    stay deterministic.
     """
     grouped: "OrderedDict[Tuple, List[PreparedJob]]" = OrderedDict()
     ordered_groups: List[List[PreparedJob]] = []
     for unit in prepared_units:
-        signature = batch_signature(unit)
+        signature = batch_signature(unit) if int(unit.options.batch) != 1 else None
         if signature is None:
             ordered_groups.append([unit])
             continue
@@ -746,6 +652,45 @@ def execute_prepared_batch(group: Sequence[PreparedJob]) -> List[np.ndarray]:
         )
         for probabilities, unit in zip(raw, group)
     ]
+
+
+def execute_group_with_retry(
+    group: Sequence[PreparedJob],
+    policy: Optional[RetryPolicy] = None,
+    counters: Optional[ResilienceCounters] = None,
+) -> List[np.ndarray]:
+    """Run one :func:`group_prepared_for_batch` group under a retry policy.
+
+    The one execution path for cache misses, shared by :func:`run_study`
+    and the ``repro serve`` daemon.  The group runs as one pass
+    (:func:`execute_prepared_batch`) under :func:`call_with_retry`; when
+    a multi-job pass exhausts its budget, each job re-runs on its own
+    with a fresh budget.  Jobs are pure given their prepared
+    ``NoiseProgram``, so a retried or degraded run is bit-identical to a
+    first-try one (batch equivalence is pinned by
+    ``tests/test_batched_replay.py``).  Transient failures
+    (``DEFAULT_RETRYABLE``) are retried with deterministic backoff;
+    deterministic errors propagate on the first attempt.
+    """
+    group = list(group)
+    if len(group) == 1:
+        job = group[0].job
+        describe = f"job {job.set_name}#{job.circuit_index}@{job.error_scale:g}x"
+    else:
+        describe = f"batched replay pass ({len(group)} jobs)"
+    try:
+        return call_with_retry(
+            lambda: execute_prepared_batch(group),
+            policy,
+            describe=describe,
+            counters=counters,
+        )
+    except DEFAULT_RETRYABLE:
+        if len(group) == 1:
+            raise
+        return [
+            execute_group_with_retry([unit], policy, counters)[0] for unit in group
+        ]
 
 
 def store_simulation(
@@ -828,7 +773,6 @@ def run_study(
     use_noise_adaptivity: bool = True,
     error_scales: Optional[Dict[str, float]] = None,
     ideal_override: Optional[Callable[[QuantumCircuit], np.ndarray]] = None,
-    workers: Optional[int] = 1,
     compilation_cache: Optional[CompilationCache] = None,
     pipeline: str = "default",
     cache_dir: Optional[str] = None,
@@ -841,14 +785,6 @@ def run_study(
     :func:`repro.experiments.runner.run_instruction_set_study` (which now
     delegates here), plus:
 
-    workers:
-        Size of the simulation worker pool.  ``None``/1 runs everything
-        inline; ``0`` uses every CPU core.  Output is bit-identical for
-        every value.  When ``options.batch != 1`` the pool is bypassed:
-        cache misses are grouped by :func:`batch_signature` and executed
-        as vectorised batched-replay passes instead (see the batched
-        replay section above), results landing under the same per-job
-        cache keys.
     compilation_cache:
         Cache for compile nodes (default: the process-global cache).
     pipeline:
@@ -877,17 +813,15 @@ def run_study(
         Bounds for re-executing failed simulate nodes (default:
         :meth:`RetryPolicy.from_env`, i.e. the ``REPRO_RETRY_*`` knobs).
         Transient failures -- injected faults, worker crashes, OS errors
-        -- re-execute inline; a broken process pool degrades to threads,
-        then to inline execution, each step warned once with its cause.
+        -- re-execute under the policy (:func:`execute_group_with_retry`).
         The study completes with a report bit-identical to a fault-free
         run (simulate nodes are pure), surfacing what happened in
-        ``StudyResult.executor_kind`` / ``StudyResult.resilience``.
+        ``StudyResult.resilience``.
     """
     decomposer = decomposer if decomposer is not None else NuOpDecomposer()
     options = options or SimulationOptions()
     error_scales = error_scales or {}
     device = device_factory()
-    effective_workers = resolve_workers(workers)
     backend_obj = resolve_backend(backend if backend is not None else options.method)
     disk_cache = None
     if cache_dir is not None:
@@ -913,185 +847,46 @@ def run_study(
 
     # Compile nodes: serial, canonical order (device RNG determinism).
     # Simulate nodes: looked up in the simulation-result cache (memory ->
-    # disk); misses are submitted to the pool as soon as their compile
-    # node finishes, so simulation overlaps the remaining compilations.
-    # The pool payload is the immutable noise program plus scalars -- the
-    # Device itself never crosses the worker boundary (the engine used to
-    # deep-copy it per job).
-    # Batched replay (options.batch != 1): cache misses are grouped by
-    # batch_signature and executed as vectorised backend passes inline,
-    # instead of fanning individual jobs out to a worker pool -- on this
-    # container one stacked contraction beats process parallelism.
-    batching = int(options.batch) != 1
+    # disk); misses then run group by group (singletons unless
+    # options.batch != 1 groups same-structure sweep jobs into one
+    # vectorised pass).
     policy = retry_policy if retry_policy is not None else RetryPolicy.from_env()
     resilience = ResilienceCounters()
-    pool: Optional[Executor] = None
-    executor_kind = "batched" if batching else "inline"
-    if not batching and effective_workers > 1 and len(jobs) > 1:
-        pool, executor_kind = _build_study_pool(effective_workers, resilience)
-
     prepared: Dict[ExperimentJob, PreparedJob] = {}
     measured: Dict[ExperimentJob, np.ndarray] = {}
-    cached_jobs = set()
-    futures = {}
-    submit_rejected = False
-    try:
-        for job in jobs:
-            unit = prepare_job(
-                job,
-                circuits[job.circuit_index],
-                device,
-                instruction_sets[job.set_name],
-                decomposer=decomposer,
-                options=options,
-                approximate=approximate,
-                use_noise_adaptivity=use_noise_adaptivity,
-                pipeline=pipeline,
-                compilation_cache=compilation_cache,
-                disk_cache=disk_cache,
-                backend=backend_obj,
-            )
-            prepared[job] = unit
-            hit = fetch_cached_simulation(unit, sim_disk)
-            if hit is not None:
-                measured[job] = hit[0]
-                cached_jobs.add(job)
-                continue
-            if pool is not None and not submit_rejected:
-                try:
-                    futures[job] = pool.submit(
-                        _simulate_job, *unit.simulation_arguments()
-                    )
-                except _EXECUTOR_FAILURES as error:
-                    # The pool died between submits (a worker crashing
-                    # while the prepare loop is still compiling).  Stop
-                    # feeding it: jobs never submitted flow into the
-                    # inline recovery sweep, and futures already in
-                    # flight are collected below -- results resolved
-                    # before the break survive, pending ones re-raise
-                    # there and take the thread/inline fallback.
-                    submit_rejected = True
-                    _warn_executor_fallback(
-                        type(pool).__name__,
-                        error,
-                        fallback="the recovery sweep",
-                        counters=resilience,
-                    )
-
-        if batching:
-            miss_units = [prepared[job] for job in jobs if job not in measured]
-            for group in group_prepared_for_batch(miss_units):
-                try:
-                    vectors = call_with_retry(
-                        lambda group=group: execute_prepared_batch(group),
-                        policy,
-                        describe=f"batched replay pass ({len(group)} jobs)",
-                        counters=resilience,
-                    )
-                except DEFAULT_RETRYABLE:
-                    # The whole pass kept failing: degrade to per-job
-                    # execution, each job under a fresh retry budget.
-                    # Identical vectors either way (batch equivalence is
-                    # pinned by tests/test_batched_replay.py).
-                    vectors = [
-                        execute_prepared_with_retry(unit, policy, resilience)
-                        for unit in group
-                    ]
-                for unit, vector in zip(group, vectors):
-                    measured[unit.job] = vector
-
-        if pool is not None and futures:
-            broken: Optional[BaseException] = None
-            for job in jobs:
-                if job not in futures:
-                    continue
-                try:
-                    measured[job] = futures[job].result()
-                except InjectedFault as error:
-                    # A transient *task* failure, not a pool failure: leave
-                    # the job unmeasured so the inline sweep below re-runs
-                    # it under the retry policy.  (Real transient task
-                    # errors -- OSError and friends -- are indistinguishable
-                    # from pool failures and take the fallback path.)
-                    resilience.increment("retries")
-                    warnings.warn(
-                        f"resilience: re-running job {job.set_name}"
-                        f"#{job.circuit_index} inline after "
-                        f"{type(error).__name__}: {error}",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                except _EXECUTOR_FAILURES as error:
-                    # Pool died (broken process, unpicklable payload):
-                    # stop collecting and recover below.  Simulation is
-                    # pure, so results already retrieved (and cache hits)
-                    # are unchanged.
-                    broken = error
-                    break
-            if broken is not None:
-                # The re-runs below own the remaining jobs now; cancel
-                # whatever is still queued so an abandoned-but-alive pool
-                # (an injected crash reports broken while workers keep
-                # draining the queue) stops competing for cores and the
-                # final shutdown does not wait on work nobody collects.
-                pool.shutdown(wait=False, cancel_futures=True)
-                remaining = [
-                    job for job in jobs if job in futures and job not in measured
-                ]
-                if executor_kind == "process" and len(remaining) > 1:
-                    # Degrade one level: re-run the survivors on threads;
-                    # a second failure falls through to the inline sweep.
-                    _warn_executor_fallback(
-                        type(pool).__name__,
-                        broken,
-                        fallback="a thread pool",
-                        counters=resilience,
-                    )
-                    try:
-                        with ThreadPoolExecutor(
-                            max_workers=effective_workers
-                        ) as retry_pool:
-                            refutures = {
-                                job: retry_pool.submit(
-                                    execute_prepared_with_retry,
-                                    prepared[job],
-                                    policy,
-                                    resilience,
-                                )
-                                for job in remaining
-                            }
-                            for job in remaining:
-                                measured[job] = refutures[job].result()
-                    except _EXECUTOR_FAILURES as error:
-                        _warn_executor_fallback(
-                            "ThreadPoolExecutor",
-                            error,
-                            fallback="inline execution",
-                            counters=resilience,
-                        )
-                else:
-                    _warn_executor_fallback(
-                        type(pool).__name__,
-                        broken,
-                        fallback="inline execution",
-                        counters=resilience,
-                    )
-        for job in jobs:
-            if job not in measured:
-                measured[job] = execute_prepared_with_retry(
-                    prepared[job], policy, resilience
-                )
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    misses: List[PreparedJob] = []
+    for job in jobs:
+        unit = prepare_job(
+            job,
+            circuits[job.circuit_index],
+            device,
+            instruction_sets[job.set_name],
+            decomposer=decomposer,
+            options=options,
+            approximate=approximate,
+            use_noise_adaptivity=use_noise_adaptivity,
+            pipeline=pipeline,
+            compilation_cache=compilation_cache,
+            disk_cache=disk_cache,
+            backend=backend_obj,
+        )
+        prepared[job] = unit
+        hit = fetch_cached_simulation(unit, sim_disk)
+        if hit is not None:
+            measured[job] = hit[0]
+        else:
+            misses.append(unit)
+    for group in group_prepared_for_batch(misses):
+        vectors = execute_group_with_retry(group, policy, resilience)
+        for unit, vector in zip(group, vectors):
+            measured[unit.job] = vector
 
     # Populate the simulation-result cache tiers with freshly computed
-    # vectors (cache hits are already stored; re-writing them would break
-    # the CI warm-start "no file changed" check).
-    for job in jobs:
-        if job in cached_jobs:
-            continue
-        measured[job] = store_simulation(prepared[job], measured[job], sim_disk)
+    # vectors, in canonical order (cache hits are already stored;
+    # re-writing them would break the CI warm-start "no file changed"
+    # check).
+    for unit in misses:
+        measured[unit.job] = store_simulation(unit, measured[unit.job], sim_disk)
 
     study = merge_study_results(
         application,
@@ -1102,9 +897,7 @@ def run_study(
         {job: unit.compiled for job, unit in prepared.items()},
         measured,
     )
-    # Surface what actually executed the study.  Metadata only: rows()
-    # and format_table() deliberately exclude both fields, so reports
-    # stay byte-identical across executor kinds and retry histories.
-    study.executor_kind = executor_kind
+    # Metadata only: rows() and format_table() deliberately exclude it,
+    # so reports stay byte-identical across retry histories.
     study.resilience = resilience.snapshot()
     return study

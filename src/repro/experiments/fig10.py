@@ -57,7 +57,6 @@ class Figure10Config:
     instruction_sets: Optional[List[str]] = None
     full_fsim_error_scales: List[float] = field(default_factory=lambda: [1.0, 2.0])
     include_no_variation_panel: bool = True
-    workers: int = 1
     pipeline: str = "default"
     """Compiler pipeline for every compile node; ``"auto"`` lets the
     autotuner (:mod:`repro.compiler.autotune`) pick per (circuit,
@@ -169,7 +168,6 @@ def run_figure10(
         decomposer=decomposer,
         options=options,
         error_scales=error_scales,
-        workers=config.workers,
         pipeline=config.pipeline,
         backend=config.backend,
     )
@@ -184,7 +182,6 @@ def run_figure10(
         decomposer=decomposer,
         options=options,
         error_scales=error_scales,
-        workers=config.workers,
         pipeline=config.pipeline,
         backend=config.backend,
     )
@@ -199,7 +196,6 @@ def run_figure10(
         decomposer=decomposer,
         options=options,
         error_scales=error_scales,
-        workers=config.workers,
         pipeline=config.pipeline,
         backend=config.backend,
     )
@@ -213,7 +209,6 @@ def run_figure10(
         decomposer=decomposer,
         options=options,
         error_scales=error_scales,
-        workers=config.workers,
         pipeline=config.pipeline,
         backend=config.backend,
     )
@@ -230,7 +225,6 @@ def run_figure10(
             options=options,
             use_noise_adaptivity=False,
             error_scales=error_scales,
-            workers=config.workers,
             pipeline=config.pipeline,
             backend=config.backend,
         )
@@ -257,7 +251,6 @@ class Figure10fConfig:
     shots: int = 2000
     trajectories: int = 15
     seed: int = 17
-    workers: int = 1
     pipeline: str = "default"
     backend: str = "auto"
 
@@ -344,7 +337,6 @@ def run_figure10f(
                 instruction_sets,
                 decomposer=decomposer,
                 options=options,
-                workers=config.workers,
                 pipeline=config.pipeline,
                 backend=config.backend,
             )

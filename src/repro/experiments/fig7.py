@@ -37,7 +37,6 @@ class Figure7Config:
     qaoa_circuits: int = 2
     shots: int = 2000
     seed: int = 7
-    workers: int = 1
 
     @classmethod
     def quick(cls) -> "Figure7Config":
@@ -132,7 +131,6 @@ def run_figure7(
                 decomposer=decomposer,
                 options=options,
                 approximate=False,
-                workers=config.workers,
             )
             approx_study = run_instruction_set_study(
                 application,
@@ -144,7 +142,6 @@ def run_figure7(
                 decomposer=decomposer,
                 options=options,
                 approximate=True,
-                workers=config.workers,
             )
             result.points.append(
                 Figure7Point(

@@ -38,7 +38,6 @@ class Figure9Config:
     shots: int = 3000
     seed: int = 9
     instruction_sets: Optional[List[str]] = None
-    workers: int = 1
     pipeline: str = "default"
     """Compiler pipeline for every compile node; ``"auto"`` lets the
     autotuner (:mod:`repro.compiler.autotune`) pick per (circuit,
@@ -129,7 +128,6 @@ def run_figure9(
         instruction_sets,
         decomposer=decomposer,
         options=options,
-        workers=config.workers,
         pipeline=config.pipeline,
         backend=config.backend,
     )
@@ -142,7 +140,6 @@ def run_figure9(
         instruction_sets,
         decomposer=decomposer,
         options=options,
-        workers=config.workers,
         pipeline=config.pipeline,
         backend=config.backend,
     )
@@ -156,7 +153,6 @@ def run_figure9(
         instruction_sets,
         decomposer=decomposer,
         options=options,
-        workers=config.workers,
         pipeline=config.pipeline,
         backend=config.backend,
     )

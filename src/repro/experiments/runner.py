@@ -128,7 +128,7 @@ def simulate_noise_program(
     slots; shot sampling (with optional readout error) and the final
     permutation back into program-qubit order are backend-independent and
     happen here.  Pure: the only RNG is seeded from ``options``, so this
-    is safe to run on worker pools.
+    is safe to run concurrently and in any order.
     """
     probabilities = backend.run(program, options)
     return finalize_measured_distribution(
@@ -284,14 +284,11 @@ class StudyResult:
     application: str
     metric_name: str
     per_set: Dict[str, InstructionSetResult] = field(default_factory=dict)
-    #: How the engine actually executed the study ("process", "thread",
-    #: "inline" or "batched") and what the resilience layer did along the
-    #: way (retries/recoveries/executor_fallbacks, from
-    #: ``repro.resilience``).  Metadata only -- deliberately excluded from
-    #: rows()/format_table() so reports stay byte-identical across
-    #: executor kinds, fallbacks and retry histories (same contract as
-    #: the omitted wall times in format_pass_stats()).
-    executor_kind: Optional[str] = None
+    #: What the resilience layer did while the study ran (attempts,
+    #: retries, recoveries, from ``repro.resilience``).  Metadata only --
+    #: deliberately excluded from rows()/format_table() so reports stay
+    #: byte-identical across retry histories (same contract as the
+    #: omitted wall times in format_pass_stats()).
     resilience: Dict[str, int] = field(default_factory=dict)
 
     def best_set(self) -> str:
@@ -325,9 +322,9 @@ class StudyResult:
         Empty string when no pass statistics were recorded (legacy
         reference runs), so callers can append it unconditionally.
         Deliberately omits wall times: the study report must stay
-        byte-identical across worker counts and fresh processes (the CI
-        warm-start and `--workers` diff checks), and timings are the one
-        nondeterministic counter.  Profile with ``repro pipelines
+        byte-identical across fresh processes, cache states and fault
+        plans (the CI warm-start and chaos diff checks), and timings are
+        the one nondeterministic counter.  Profile with ``repro pipelines
         --stats`` or ``aggregated_pass_stats()`` instead.
         """
         totals = self.aggregated_pass_stats()
@@ -392,11 +389,12 @@ def run_instruction_set_study(
     Thin compatibility wrapper over the experiment engine
     (:func:`repro.experiments.engine.run_study`): same signature as the
     original serial implementation (retained below as
-    :func:`run_instruction_set_study_reference`) plus a ``workers`` knob
-    for the simulation worker pool and a ``backend`` selector for the
-    simulate nodes.  Results are bit-identical to the reference
-    implementation for every worker count (and for ``backend=None`` /
-    ``"auto"``, the reference dispatch).
+    :func:`run_instruction_set_study_reference`) plus a ``backend``
+    selector for the simulate nodes.  Results are bit-identical to the
+    reference implementation (for ``backend=None`` / ``"auto"``, the
+    reference dispatch).  ``workers`` remains for callers that pin
+    ``workers=1``; the engine has no study worker pool, so any value
+    other than ``None`` or 1 raises ``ValueError``.
 
     A single device instance is shared by all instruction sets so that every
     set sees the *same* sampled calibration data (as on a real device), and
@@ -406,6 +404,10 @@ def run_instruction_set_study(
     """
     from repro.experiments.engine import run_study
 
+    if workers not in (None, 1):
+        raise ValueError(
+            f"workers={workers!r}: studies run without a worker pool; pass 1 or None"
+        )
     return run_study(
         application,
         circuits,
@@ -419,7 +421,6 @@ def run_instruction_set_study(
         use_noise_adaptivity=use_noise_adaptivity,
         error_scales=error_scales,
         ideal_override=ideal_override,
-        workers=workers,
         pipeline=pipeline,
         cache_dir=cache_dir,
         backend=backend,

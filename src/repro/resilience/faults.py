@@ -14,7 +14,7 @@ Fault points (the catalogue, see ``docs/resilience.md``):
 ``disk.read``             reading a disk-cache payload (``caching/disk.py``)
 ``disk.write``            persisting a disk-cache payload
 ``backend.run``           a simulator-backend invocation (single or batched)
-``worker.task``           an engine job executing in a pool worker / inline
+``worker.task``           one simulate job starting to execute (engine, serve)
 ``serve.handler``         an incoming ``POST /v1/studies`` request
 ``inflight.wait``         a coalesce waiter blocking on the owner's future
 ========================  ====================================================
@@ -40,8 +40,8 @@ Determinism: per-rule RNGs are seeded from
 ``sha256(f"{seed}|{point}|{index}|{kind}")`` -- *not* the builtin
 ``hash`` (salted per process by ``PYTHONHASHSEED``), so the drawn
 sequence replays across processes.  Consultations of a single point are
-counted under a lock; with serial consultation (engine ``workers=1``,
-serve ``--exec-workers 1``) the full fault sequence is exact, while
+counted under a lock; with serial consultation (the engine always,
+serve with ``--exec-workers 1``) the full fault sequence is exact, while
 under concurrent consultation the sequence of draws is still
 deterministic but its attribution to specific jobs is
 scheduling-dependent (documented in ``docs/resilience.md``).
@@ -122,10 +122,9 @@ class InjectedFault(RuntimeError):
 class InjectedWorkerCrash(BrokenExecutor):
     """An injected worker-process death.
 
-    Subclasses :class:`concurrent.futures.BrokenExecutor` so the engine's
-    existing ``_EXECUTOR_FAILURES`` handling sees it exactly as it would
-    see a real ``BrokenProcessPool`` -- the pool-degradation path is
-    exercised, not a lookalike.
+    Subclasses :class:`concurrent.futures.BrokenExecutor`, the shape a
+    real ``BrokenProcessPool`` takes, so the retry layer's
+    ``DEFAULT_RETRYABLE`` treats it as the transient failure it models.
     """
 
     def __init__(self, point: str):
@@ -371,7 +370,7 @@ def maybe_raise_fault(point: str) -> None:
     """Consult ``point`` and raise the planned fault, if any.
 
     ``crash`` raises :class:`InjectedWorkerCrash` (a ``BrokenExecutor``,
-    i.e. the pool itself dies); every other kind raises
+    i.e. the executing worker dies); every other kind raises
     :class:`InjectedFault` (a transient task failure the retry layer
     absorbs).
     """

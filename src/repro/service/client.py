@@ -16,7 +16,9 @@ Hangs and half-streams are errors, never silence:
   wire.  The protocol's terminal ``stats`` record disambiguates --
   :func:`submit_study` raises :class:`ServiceError` if the stream ends
   before one arrives (e.g. the daemon died or the connection dropped),
-  instead of silently yielding a truncated study.
+  instead of silently yielding a truncated study.  A connection reset
+  once connected (the daemon died, or closed with an RST) takes the same
+  path; only a failure to connect raises the raw ``ConnectionError``.
 """
 
 from __future__ import annotations
@@ -69,7 +71,11 @@ def submit_study(
         timeout = client_timeout()
     connection = http.client.HTTPConnection(host, port, timeout=timeout)
     terminated = False
+    connected = False
+    reset: Optional[ConnectionError] = None
     try:
+        connection.connect()
+        connected = True
         connection.request(
             "POST",
             "/v1/studies",
@@ -98,13 +104,17 @@ def submit_study(
             f"daemon did not respond within {timeout:g}s "
             f"({CLIENT_TIMEOUT_ENV_VAR} or the timeout argument raises it): {error}"
         ) from error
+    except ConnectionError as error:
+        if not connected:
+            raise
+        reset = error  # a reset once connected ends the stream like an EOF
     finally:
         connection.close()
     if not terminated:
         raise ServiceError(
             "stream ended before the terminal stats record -- the daemon "
             "disconnected mid-study (crashed, killed, or dropped connection)"
-        )
+        ) from reset
 
 
 def fetch_stats(
@@ -120,7 +130,10 @@ def fetch_stats(
     if timeout is None:
         timeout = client_timeout()
     connection = http.client.HTTPConnection(host, port, timeout=timeout)
+    connected = False
     try:
+        connection.connect()
+        connected = True
         connection.request("GET", "/v1/stats")
         response = connection.getresponse()
         body = response.read().decode("utf-8")
@@ -131,6 +144,13 @@ def fetch_stats(
         raise ServiceError(
             f"daemon did not respond within {timeout:g}s "
             f"({CLIENT_TIMEOUT_ENV_VAR} or the timeout argument raises it): {error}"
+        ) from error
+    except ConnectionError as error:
+        if not connected:
+            raise
+        raise ServiceError(
+            "stats response ended early -- the daemon disconnected "
+            "(crashed, killed, or dropped connection)"
         ) from error
     finally:
         connection.close()

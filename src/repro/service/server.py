@@ -14,10 +14,10 @@ daemon buys over one-shot ``repro fig10`` invocations:
   with ``--shard k/N`` against a common cache directory split a study's
   simulation work by key range without any coordination protocol.
 
-The container this runs in is single-CPU: the win is deduplication and
-cache residency, not parallelism.  ``exec_workers`` therefore defaults
-to 1; raising it only helps when backend invocations block on something
-other than the CPU.
+The win is deduplication and cache residency, not parallelism: the
+simulate nodes are a few percent of a study, so ``exec_workers`` defaults
+to 1, and raising it only helps when backend invocations block on
+something other than the CPU.
 
 Execution model per request (:meth:`StudyService.run_study_spec`):
 
@@ -66,7 +66,6 @@ from repro.resilience import (
     InjectedFault,
     ResilienceCounters,
     RetryPolicy,
-    call_with_retry,
     consult_fault,
     fault_stats,
     retry_stats,
@@ -125,10 +124,10 @@ class StudyService:
         reported with ``source:"deadline"`` and the study closes with
         ``complete:false`` -- the stream always terminates."""
         self.batch = int(batch)
-        """Batched-replay knob (``repro serve --batch``): ``1`` keeps the
-        per-job scheduling path, ``0``/``N>=2`` makes each request queue
-        its owned cache misses and execute same-structure groups as one
-        vectorised backend pass between NDJSON flushes (see
+        """Batched-replay knob (``repro serve --batch``): ``1`` submits
+        each owned cache miss as soon as it is prepared, ``0``/``N>=2``
+        makes each request queue its owned misses and execute
+        same-structure groups as one vectorised backend pass (see
         :func:`repro.experiments.engine.group_prepared_for_batch`).  An
         execution-strategy knob of the *server*, deliberately not a
         :class:`~repro.service.protocol.StudySpec` field: it never changes
@@ -403,8 +402,7 @@ class StudyService:
             ExperimentJob,
             PreparedJob,
             StudyPlan,
-            execute_prepared_batch,
-            execute_prepared_simulation,
+            execute_group_with_retry,
             fetch_cached_simulation,
             group_prepared_for_batch,
             ideal_distribution_cached,
@@ -430,10 +428,8 @@ class StudyService:
         sources: Dict[ExperimentJob, object] = {}
         measured: Dict[ExperimentJob, object] = {}
         futures: Dict[ExperimentJob, Future] = {}
-        # Batched mode (self.batch != 1): owned misses queue here as
-        # (unit, job_future, invoked) instead of going to the executor one
-        # by one; after the prepare loop they are grouped by structure and
-        # each group runs as one vectorised backend pass.
+        # Owned misses of batched mode (self.batch != 1), queued as
+        # (unit, job_future, invoked) until the prepare loop ends.
         pending_batch = []
         request_batch = {"passes": 0}
         request_resilience = ResilienceCounters()
@@ -451,141 +447,121 @@ class StudyService:
                 return "deadline"
             return None
 
+        def run_group(entries):
+            """Executor task: one group of owned misses, resolved after the store."""
+            try:
+                remaining = []
+                for unit, job_future, invoked in entries:
+                    # Re-check the tiers first: a concurrent identical job
+                    # may have stored and retired its in-flight key in the
+                    # gap between this request's miss and this task.  The
+                    # table only retires a key *after* the store, so
+                    # post-retirement arrivals always hit here.
+                    hit = fetch_cached_simulation(unit, self._sim_disk)
+                    if hit is not None:
+                        job_future.set_result(hit[0])
+                    else:
+                        remaining.append((unit, job_future, invoked))
+                if not remaining:
+                    return
+                vectors = execute_group_with_retry(
+                    [unit for unit, _, _ in remaining],
+                    self.retry_policy,
+                    request_resilience,
+                )
+                if len(remaining) > 1:
+                    with self._lock:
+                        self._counters["batched_passes"] += 1
+                        request_batch["passes"] += 1
+                for (unit, job_future, invoked), vector in zip(remaining, vectors):
+                    invoked["backend"] = True
+                    # Store *before* the future resolves: the in-flight key
+                    # retires on completion, and by then the tiers must
+                    # already serve the result (no gap for a third arrival
+                    # to recompute in).
+                    job_future.set_result(
+                        store_simulation(unit, vector, self._sim_disk)
+                    )
+            except BaseException as error:  # resolve waiters, don't hang
+                for _, job_future, _ in entries:
+                    if not job_future.done():
+                        job_future.set_exception(error)
+
+        def submit_group(entries):
+            try:
+                self._executor.submit(run_group, entries)
+            except RuntimeError as error:  # executor shut down: fail, don't hang
+                for _, job_future, _ in entries:
+                    job_future.set_exception(error)
+
         # Prepare serially in canonical order (device RNG), resolving each
         # job against the tiers as soon as it is prepared so in-flight
         # submissions overlap the remaining compiles.  A drain or an
         # expired deadline stops *scheduling*: jobs not yet prepared are
         # reported unscored (source "drained"/"deadline") while futures
         # already in flight still flush below.
-        for job in jobs:
-            halted = halt_reason()
-            if halted is not None:
-                sources[job] = halted
-                continue
-            unit = prepare_job(
-                job,
-                parts["circuits"][job.circuit_index],
-                parts["device"],
-                parts["instruction_sets"][job.set_name],
-                options=parts["options"],
-                pipeline=spec.pipeline,
-                disk_cache=self._sim_disk,
-                backend=parts["backend"],
-                compile_fn=compile_fn,
-            )
-            prepared[job] = unit
-            hit = fetch_cached_simulation(unit, self._sim_disk)
-            if hit is not None:
-                measured[job], sources[job] = hit
-                continue
-            if self.shard is not None and not self.shard.owns(unit.cache_key):
-                sources[job] = "deferred"
-                continue
+        try:
+            for job in jobs:
+                halted = halt_reason()
+                if halted is not None:
+                    sources[job] = halted
+                    continue
+                unit = prepare_job(
+                    job,
+                    parts["circuits"][job.circuit_index],
+                    parts["device"],
+                    parts["instruction_sets"][job.set_name],
+                    options=parts["options"],
+                    pipeline=spec.pipeline,
+                    disk_cache=self._sim_disk,
+                    backend=parts["backend"],
+                    compile_fn=compile_fn,
+                )
+                prepared[job] = unit
+                hit = fetch_cached_simulation(unit, self._sim_disk)
+                if hit is not None:
+                    measured[job], sources[job] = hit
+                    continue
+                if self.shard is not None and not self.shard.owns(unit.cache_key):
+                    sources[job] = "deferred"
+                    continue
 
-            invoked = {"backend": False}
-
-            if self.batch != 1:
                 # Register a bare per-job future under the cache key so
-                # concurrent identical jobs still coalesce onto it; the
-                # owner's group task resolves it (store-before-resolve,
-                # like the per-job path) once the batch executes.
+                # concurrent identical jobs coalesce onto it; the owner's group
+                # task resolves it once the vector is stored.  With batch == 1
+                # every group has one member and is submitted at once, so
+                # simulation overlaps the remaining compiles; batched groups
+                # form once the prepare loop has seen every job.
                 job_future: Future = Future()
                 future, owner = self._simulations.submit(
                     unit.cache_key, lambda job_future=job_future: job_future
                 )
-                if owner:
-                    pending_batch.append((unit, job_future, invoked))
+                invoked = {"backend": False}
+                # Source is resolved after the future completes: an owner whose
+                # task found the tiers already populated reports the cache, not
+                # the backend, so per-request `executed` equals real backend
+                # invocations.
                 sources[job] = ("owner", invoked) if owner else "inflight"
                 futures[job] = future
-                continue
-
-            def task(unit=unit, invoked=invoked):
-                # Re-check the tiers first: a concurrent identical job may
-                # have stored and retired its in-flight key in the gap
-                # between this request's cache miss and its submit.  The
-                # in-flight table only retires a key *after* the store, so
-                # post-retirement arrivals always hit here.
-                hit = fetch_cached_simulation(unit, self._sim_disk)
-                if hit is not None:
-                    return hit[0]
-                invoked["backend"] = True
-                # Retry under the service policy: the job is pure given
-                # its prepared program, so a retried vector is
-                # bit-identical to a first-try one.
-                vector = call_with_retry(
-                    lambda: execute_prepared_simulation(unit),
-                    self.retry_policy,
-                    describe=(
-                        f"serve job {unit.job.set_name}#{unit.job.circuit_index}"
-                    ),
-                    counters=request_resilience,
-                )
-                # Store *before* the future resolves: the in-flight key
-                # retires on completion, and by then the tiers must
-                # already serve the result (no gap for a third arrival
-                # to recompute in).
-                return store_simulation(unit, vector, self._sim_disk)
-
-            future, owner = self._simulations.submit(
-                unit.cache_key, lambda task=task: self._executor.submit(task)
-            )
-            # Source is resolved after the future completes: an owner whose
-            # task found the tiers already populated reports the cache, not
-            # the backend, so per-request `executed` equals real backend
-            # invocations.
-            sources[job] = ("owner", invoked) if owner else "inflight"
-            futures[job] = future
+                if owner:
+                    entry = (unit, job_future, invoked)
+                    if self.batch == 1:
+                        submit_group([entry])
+                    else:
+                        pending_batch.append(entry)
+        except BaseException as error:
+            # Queued owned misses would otherwise hold their in-flight keys
+            # forever, and an identical request would wait on them.
+            for _, job_future, _ in pending_batch:
+                job_future.set_exception(error)
+            raise
 
         if pending_batch:
             entry_for = {id(entry[0]): entry for entry in pending_batch}
-
-            def run_group(group):
-                entries = [entry_for[id(unit)] for unit in group]
-                try:
-                    remaining = []
-                    for unit, job_future, invoked in entries:
-                        # Re-check the tiers (same reason as the per-job
-                        # task): a concurrent request may have stored this
-                        # key after our miss.
-                        hit = fetch_cached_simulation(unit, self._sim_disk)
-                        if hit is not None:
-                            job_future.set_result(hit[0])
-                        else:
-                            remaining.append((unit, job_future, invoked))
-                    if not remaining:
-                        return
-                    remaining_units = [unit for unit, _, _ in remaining]
-                    vectors = call_with_retry(
-                        lambda: execute_prepared_batch(remaining_units),
-                        self.retry_policy,
-                        describe=(
-                            f"serve batched pass ({len(remaining_units)} jobs)"
-                        ),
-                        counters=request_resilience,
-                    )
-                    if len(remaining) > 1:
-                        with self._lock:
-                            self._counters["batched_passes"] += 1
-                            request_batch["passes"] += 1
-                    for (unit, job_future, invoked), vector in zip(
-                        remaining, vectors
-                    ):
-                        invoked["backend"] = True
-                        job_future.set_result(
-                            store_simulation(unit, vector, self._sim_disk)
-                        )
-                except BaseException as error:  # resolve waiters, don't hang
-                    for _, job_future, _ in entries:
-                        if not job_future.done():
-                            job_future.set_exception(error)
-
-            # One executor task per structure group: each group is a
-            # single vectorised pass (singletons fall back to the
-            # sequential path inside execute_prepared_batch).
             for group in group_prepared_for_batch(
                 [entry[0] for entry in pending_batch]
             ):
-                self._executor.submit(run_group, group)
+                submit_group([entry_for[id(unit)] for unit in group])
 
         # Collect and stream per-job records in canonical order.  Futures
         # already scheduled flush even during a drain (the graceful-drain

@@ -19,8 +19,8 @@ loops would have derived, in exactly the order they would have applied
 them.
 
 Programs are immutable once built: replays never mutate them, so one
-program is safely shared across backends, worker pools (they pickle by
-value) and the process-wide cache below.  :func:`noise_program_for`
+program is safely shared across backends, the serve daemon's executor
+threads and the process-wide cache below.  :func:`noise_program_for`
 caches lowered programs per (compiled-circuit content x device
 calibration x physical qubits), so a study that simulates the same
 compiled circuit repeatedly -- or a warm re-run of a whole study -- pays

@@ -45,7 +45,7 @@ the default ``fused`` kernel is held to ``<= 1e-10`` max-abs deviation by
 Lowered artefacts are derived lazily per :class:`NoiseProgram` and cached
 on the program instance itself (programs are immutable and process-wide
 cached, so the lowering cost is paid once per distinct compiled circuit
--- and rides along when programs are pickled to worker pools).
+-- and rides along when programs are pickled).
 
 Two extensions sit on top of the single-rho kernels:
 
@@ -777,8 +777,8 @@ def superop_program_for(program: NoiseProgram) -> SuperopProgram:
 
     Stored on the program instance itself: programs are immutable,
     process-wide cached (:func:`~repro.simulators.noise_program.noise_program_for`)
-    and pickled by value to worker pools, so the lowering travels with
-    them and is never derived twice for the same program object.
+    and pickled by value, so the lowering travels with them and is never
+    derived twice for the same program object.
     """
     cached = program._superop
     if cached is not None:

@@ -269,13 +269,13 @@ class TestEngineIntegration:
     def auto_studies(self, shared_decomposer):
         kwargs = self._study_kwargs(shared_decomposer)
         clear_experiment_caches()
-        cold = run_study(**kwargs, workers=1, pipeline=AUTO_PIPELINE)
-        warm = run_study(**kwargs, workers=2, pipeline=AUTO_PIPELINE)
+        cold = run_study(**kwargs, pipeline=AUTO_PIPELINE)
+        warm = run_study(**kwargs, pipeline=AUTO_PIPELINE)
         clear_experiment_caches()
-        default = run_study(**kwargs, workers=1, pipeline="default")
+        default = run_study(**kwargs, pipeline="default")
         return {"cold": cold, "warm": warm, "default": default}
 
-    def test_auto_is_deterministic_across_cache_state_and_workers(self, auto_studies):
+    def test_auto_is_deterministic_across_cache_state(self, auto_studies):
         assert self._rows(auto_studies["cold"]) == self._rows(auto_studies["warm"])
 
     def test_auto_records_selected_pipelines(self, auto_studies):

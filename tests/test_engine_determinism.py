@@ -1,10 +1,8 @@
-"""Determinism of the parallel experiment engine.
+"""Determinism of the experiment engine.
 
 The contract under test: with a fixed ``SimulationOptions.seed``,
 
-* the engine with ``workers=1`` and ``workers=4`` produce bit-identical
-  :class:`StudyResult` rows,
-* both are bit-identical to the legacy serial double loop
+* the engine is bit-identical to the legacy serial double loop
   (:func:`run_instruction_set_study_reference`), including the device's
   lazily sampled calibration data (which depends on compilation order),
 * warm-cache (compilation cache hit) runs agree bit-for-bit with
@@ -30,6 +28,7 @@ from repro.experiments.engine import (
     StudyPlan,
     clear_experiment_caches,
     resolve_workers,
+    run_parallel,
     run_study,
 )
 from repro.experiments.runner import (
@@ -61,6 +60,11 @@ def _study_kwargs(shared_decomposer):
     )
 
 
+def _offset_product(x, y):
+    """Module-level, so a process pool can pickle it by reference."""
+    return x * y + 1
+
+
 def _rows(study):
     """Everything row-like in a StudyResult, in a bit-comparable form."""
     return [
@@ -77,7 +81,7 @@ def _rows(study):
 
 @pytest.fixture(scope="module")
 def studies(shared_decomposer):
-    """Reference, serial-engine, parallel-engine and warm/cold-cache runs.
+    """Reference, engine and warm/cold-cache runs.
 
     Pinned on ``REPRO_SIM_KERNEL=reference``: the contract under test is
     bit-identity against the frozen serial loop, which only the reference
@@ -92,14 +96,11 @@ def studies(shared_decomposer):
         reference = run_instruction_set_study_reference(**kwargs)
 
         clear_experiment_caches()
-        engine_serial_cold = run_study(**kwargs, workers=1)
+        engine_serial_cold = run_study(**kwargs)
         stats_after_cold = global_compilation_cache().stats()
 
-        engine_parallel_warm = run_study(**kwargs, workers=4)
+        engine_warm = run_study(**kwargs)
         stats_after_warm = global_compilation_cache().stats()
-
-        clear_experiment_caches()
-        engine_parallel_cold = run_study(**kwargs, workers=4)
 
         wrapper = run_instruction_set_study(
             kwargs["application"],
@@ -116,8 +117,7 @@ def studies(shared_decomposer):
     return {
         "reference": reference,
         "engine_serial_cold": engine_serial_cold,
-        "engine_parallel_warm": engine_parallel_warm,
-        "engine_parallel_cold": engine_parallel_cold,
+        "engine_warm": engine_warm,
         "wrapper": wrapper,
         "stats_after_cold": stats_after_cold,
         "stats_after_warm": stats_after_warm,
@@ -128,10 +128,6 @@ class TestEngineDeterminism:
     def test_engine_matches_legacy_serial_runner(self, studies):
         assert _rows(studies["engine_serial_cold"]) == _rows(studies["reference"])
 
-    def test_workers_do_not_change_results(self, studies):
-        assert _rows(studies["engine_parallel_warm"]) == _rows(studies["engine_serial_cold"])
-        assert _rows(studies["engine_parallel_cold"]) == _rows(studies["engine_serial_cold"])
-
     def test_cache_hits_match_cold_cache(self, studies):
         # The warm run after the cold run served every compile from cache...
         cold = studies["stats_after_cold"]
@@ -139,12 +135,25 @@ class TestEngineDeterminism:
         assert cold["misses"] > 0
         assert warm["hits"] >= cold["misses"]
         assert warm["misses"] == cold["misses"]
-        # ...and still produced identical rows (asserted above); this pins
-        # the cache's side-effect replay of calibration registrations.
-        assert _rows(studies["engine_parallel_warm"]) == _rows(studies["engine_serial_cold"])
+        # ...and still produced identical rows; this pins the cache's
+        # side-effect replay of calibration registrations.
+        assert _rows(studies["engine_warm"]) == _rows(studies["engine_serial_cold"])
 
     def test_compat_wrapper_delegates_to_engine(self, studies):
         assert _rows(studies["wrapper"]) == _rows(studies["engine_serial_cold"])
+
+    def test_compat_wrapper_rejects_a_worker_pool(self, shared_decomposer):
+        kwargs = _study_kwargs(shared_decomposer)
+        with pytest.raises(ValueError, match="workers=2"):
+            run_instruction_set_study(
+                kwargs["application"],
+                kwargs["circuits"],
+                kwargs["metric_name"],
+                kwargs["metric"],
+                kwargs["device_factory"],
+                kwargs["instruction_sets"],
+                workers=2,
+            )
 
     def test_per_set_bookkeeping_is_populated(self, studies):
         for _, metrics, counts, swaps, usage in _rows(studies["engine_serial_cold"]):
@@ -191,3 +200,11 @@ class TestStudyPlan:
         assert resolve_workers(1) == 1
         assert resolve_workers(3) == 3
         assert resolve_workers(0) >= 1
+
+
+class TestRunParallel:
+    def test_pool_returns_serial_results_in_input_order(self):
+        arguments = [(index, 7 - index) for index in range(6)]
+        serial = run_parallel(_offset_product, arguments, workers=1)
+        assert serial == [x * y + 1 for x, y in arguments]
+        assert run_parallel(_offset_product, arguments, workers=2) == serial

@@ -23,6 +23,7 @@ from __future__ import annotations
 import errno
 import pickle
 import socket
+import struct
 import threading
 import time
 from concurrent.futures import BrokenExecutor
@@ -54,7 +55,7 @@ from repro.resilience import (
     reset_retry_stats,
     retry_stats,
 )
-from repro.service.client import ServiceError, submit_study
+from repro.service.client import ServiceError, fetch_stats, submit_study
 from repro.service.dedup import InFlightTable
 from repro.service.protocol import StudySpec, encode_record
 from repro.service.server import ServiceDraining, StudyService, make_http_server
@@ -419,8 +420,7 @@ class TestEngineChaos:
         self, cold_engine, tmp_path, shared_decomposer
     ):
         kwargs = _chaos_kwargs(shared_decomposer)
-        baseline = run_study(**kwargs, workers=1)
-        assert baseline.executor_kind == "inline"
+        baseline = run_study(**kwargs)
         assert baseline.resilience.get("retries", 0) == 0
 
         clear_experiment_caches()
@@ -429,7 +429,7 @@ class TestEngineChaos:
         configure_fault_plan(CHAOS_PLAN)
         with pytest.warns(RuntimeWarning, match="resilience:"):
             chaos = run_study(
-                **kwargs, workers=1, cache_dir=str(tmp_path / "chaos-cache")
+                **kwargs, cache_dir=str(tmp_path / "chaos-cache")
             )
 
         assert _rows(chaos) == _rows(baseline)
@@ -450,31 +450,30 @@ class TestEngineChaos:
             configure_fault_plan(CHAOS_PLAN)
             with pytest.warns(RuntimeWarning, match="resilience:"):
                 run_study(
-                    **kwargs, workers=1, cache_dir=str(tmp_path / f"replay-{run}")
+                    **kwargs, cache_dir=str(tmp_path / f"replay-{run}")
                 )
             observed.append(fault_stats())
         assert observed[0] == observed[1]
 
-    def test_worker_crash_degrades_the_pool_and_still_completes(
+    def test_worker_crash_is_retried_and_still_completes(
         self, cold_engine, monkeypatch, shared_decomposer
     ):
         kwargs = _chaos_kwargs(shared_decomposer)
-        baseline = run_study(**kwargs, workers=1)
+        baseline = run_study(**kwargs)
 
         clear_experiment_caches()
         reset_backend_invocation_counts()
         reset_retry_stats()
-        # Through the environment, not configure_fault_plan(): forked pool
-        # workers inherit the env var and arm their own plan, so the crash
-        # fires inside a real worker process.
+        # Through the environment, the way `repro fig10` arms a plan.
         monkeypatch.setenv(FAULT_PLAN_ENV_VAR, "worker.task:crash@1;seed=1")
         reset_fault_plan_configuration()
-        with pytest.warns(RuntimeWarning, match="resilience:|falling back"):
-            chaos = run_study(**kwargs, workers=2)
+        with pytest.warns(RuntimeWarning, match="resilience: retrying"):
+            chaos = run_study(**kwargs)
 
         assert _rows(chaos) == _rows(baseline)
-        assert chaos.executor_kind == "process"
-        assert retry_stats()["executor_fallbacks"] >= 1
+        assert chaos.resilience["retries"] == 1
+        assert chaos.resilience["recoveries"] == 1
+        assert retry_stats()["retries"] >= 1
 
     def test_retry_exhaustion_propagates_the_underlying_error(
         self, cold_engine, shared_decomposer
@@ -486,7 +485,7 @@ class TestEngineChaos:
         policy = RetryPolicy(max_attempts=2, base_delay=0.001, seed=1)
         with pytest.warns(RuntimeWarning, match="retry budget"):
             with pytest.raises(InjectedFault):
-                run_study(**kwargs, workers=1, retry_policy=policy)
+                run_study(**kwargs, retry_policy=policy)
 
 
 # ---------------------------------------------------------------------------
@@ -640,6 +639,37 @@ class TestClientResilience:
         # Records streamed before the disconnect were still delivered.
         assert [r["type"] for r in records] == ["job"]
 
+    def test_connection_reset_mid_stream_raises_service_error(self):
+        def handler(conn):
+            conn.recv(65536)
+            conn.sendall(
+                b"HTTP/1.0 200 OK\r\n"
+                b"Content-Type: application/x-ndjson\r\n\r\n"
+                b'{"type": "job", "index": 0, "source": "backend", "value": 0.5}\n'
+            )
+            # A zero linger timeout makes close() send an RST, not a FIN:
+            # the client sees ECONNRESET, never a clean end of stream.
+            conn.setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+            )
+
+        port, thread = _fake_daemon(handler)
+        with pytest.raises(ServiceError, match="terminal stats record"):
+            list(submit_study(_tiny_spec_dict(), port=port, timeout=5))
+        thread.join(timeout=5)
+
+    def test_connection_reset_before_the_stats_response_raises_service_error(self):
+        def handler(conn):
+            conn.recv(65536)
+            conn.setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+            )
+
+        port, thread = _fake_daemon(handler)
+        with pytest.raises(ServiceError, match="disconnected"):
+            fetch_stats(port=port, timeout=5)
+        thread.join(timeout=5)
+
     def test_stalled_daemon_times_out_naming_the_knob(self):
         def handler(conn):
             conn.recv(65536)
@@ -725,6 +755,29 @@ class TestServeResilience:
             assert records[-1]["type"] == "stats"
             assert records[-1]["drained"] == 4
             assert service.stats()["service"]["jobs_drained"] == 4
+        finally:
+            service.close()
+
+    def test_failed_prepare_releases_queued_batch_keys(self, cold_engine, monkeypatch):
+        import repro.experiments.engine as engine
+
+        prepare = engine.prepare_job
+        calls = []
+
+        def prepare_then_fail(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise ValueError("compile failed")
+            return prepare(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "prepare_job", prepare_then_fail)
+        service = StudyService(batch=0)
+        try:
+            with pytest.raises(ValueError, match="compile failed"):
+                list(service.run_study_spec(_spec()))
+            # The first job's queued miss must not hold its key in flight,
+            # or the next identical request would wait on it forever.
+            assert service.stats()["inflight_simulations"]["inflight"] == 0
         finally:
             service.close()
 

@@ -65,13 +65,13 @@ class TestMemoryTier:
     def test_warm_study_skips_every_backend_invocation(self, shared_decomposer):
         kwargs = _study_kwargs(shared_decomposer)
         clear_experiment_caches()
-        cold = run_study(**kwargs, workers=1)
+        cold = run_study(**kwargs)
         stats_cold = simulation_cache_stats()
         assert stats_cold["misses"] == 4  # 2 sets x 2 circuits
         assert stats_cold["entries"] == 4
 
         reset_backend_invocation_counts()
-        warm = run_study(**kwargs, workers=1)
+        warm = run_study(**kwargs)
         stats_warm = simulation_cache_stats()
         assert backend_invocation_counts() == {}, "warm run must not simulate"
         assert stats_warm["hits"] == stats_cold["misses"]
@@ -81,33 +81,32 @@ class TestMemoryTier:
     def test_distinct_options_do_not_share_entries(self, shared_decomposer):
         kwargs = _study_kwargs(shared_decomposer)
         clear_experiment_caches()
-        run_study(**kwargs, workers=1)
+        run_study(**kwargs)
         reset_backend_invocation_counts()
         run_study(
             **_study_kwargs(shared_decomposer, options=SimulationOptions(shots=901, seed=5)),
-            workers=1,
         )
         assert sum(backend_invocation_counts().values()) > 0
 
     def test_distinct_backends_do_not_share_entries(self, shared_decomposer):
         kwargs = _study_kwargs(shared_decomposer)
         clear_experiment_caches()
-        auto = run_study(**kwargs, workers=1)
+        auto = run_study(**kwargs)
         reset_backend_invocation_counts()
-        estimated = run_study(**kwargs, workers=1, backend="estimator")
+        estimated = run_study(**kwargs, backend="estimator")
         assert _rows(estimated) != _rows(auto)
         assert backend_invocation_counts().get("estimator") == 4
         # Entries are keyed on the *effective* backend, so the explicit
         # spelling of the backend auto delegated to shares auto's entries
         # (and a delegate version bump would orphan both).
         reset_backend_invocation_counts()
-        explicit = run_study(**kwargs, workers=1, backend="density-matrix")
+        explicit = run_study(**kwargs, backend="density-matrix")
         assert _rows(explicit) == _rows(auto)
         assert backend_invocation_counts() == {}
 
     def test_unregistered_backend_instance_works(self, shared_decomposer):
         """run_study accepts backend instances that were never registered
-        (workers ship the instance, not a name to re-resolve)."""
+        (the prepared job carries the instance, not a name to re-resolve)."""
         from repro.simulators.backend import EstimatorBackend
 
         class LocalEstimator(EstimatorBackend):
@@ -116,8 +115,8 @@ class TestMemoryTier:
 
         kwargs = _study_kwargs(shared_decomposer)
         clear_experiment_caches()
-        local = run_study(**kwargs, workers=1, backend=LocalEstimator())
-        registered = run_study(**kwargs, workers=1, backend="estimator")
+        local = run_study(**kwargs, backend=LocalEstimator())
+        registered = run_study(**kwargs, backend="estimator")
         assert _rows(local) == _rows(registered)
 
 
@@ -126,7 +125,7 @@ class TestDiskTier:
         cache_dir = str(tmp_path / "cache")
         kwargs = _study_kwargs(shared_decomposer)
         clear_experiment_caches()
-        cold = run_study(**kwargs, workers=1, cache_dir=cache_dir)
+        cold = run_study(**kwargs, cache_dir=cache_dir)
         disk = disk_cache_for(cache_dir)
         assert disk.sim_writes == 4
         assert disk.sim_hits == 0
@@ -135,7 +134,7 @@ class TestDiskTier:
         # Simulate a fresh process: every in-memory tier dropped.
         clear_experiment_caches()
         reset_backend_invocation_counts()
-        warm = run_study(**kwargs, workers=1, cache_dir=cache_dir)
+        warm = run_study(**kwargs, cache_dir=cache_dir)
         assert backend_invocation_counts() == {}, "disk tier must satisfy every node"
         assert disk.sim_hits == 4
         assert disk.sim_writes == 4  # unchanged: hits are never re-written
@@ -147,9 +146,9 @@ class TestDiskTier:
         cache_dir = str(tmp_path / "late-cache")
         kwargs = _study_kwargs(shared_decomposer)
         clear_experiment_caches()
-        run_study(**kwargs, workers=1)  # memory tier only
+        run_study(**kwargs)  # memory tier only
         reset_backend_invocation_counts()
-        run_study(**kwargs, workers=1, cache_dir=cache_dir)
+        run_study(**kwargs, cache_dir=cache_dir)
         assert backend_invocation_counts() == {}  # served from memory...
         disk = disk_cache_for(cache_dir)
         assert disk.sim_writes == 4  # ...but still persisted to the new dir
@@ -159,7 +158,7 @@ class TestDiskTier:
         cache_dir = str(tmp_path / "cache")
         kwargs = _study_kwargs(shared_decomposer)
         clear_experiment_caches()
-        cold = run_study(**kwargs, workers=1, cache_dir=cache_dir)
+        cold = run_study(**kwargs, cache_dir=cache_dir)
         disk = disk_cache_for(cache_dir)
         sim_dir = disk.version_dir / "sim"
         corrupted = sorted(sim_dir.rglob("*.pkl"))
@@ -169,28 +168,16 @@ class TestDiskTier:
 
         clear_experiment_caches()
         reset_backend_invocation_counts()
-        recovered = run_study(**kwargs, workers=1, cache_dir=cache_dir)
+        recovered = run_study(**kwargs, cache_dir=cache_dir)
         assert sum(backend_invocation_counts().values()) > 0  # re-simulated
         assert _rows(recovered) == _rows(cold)
 
 
 class TestNoDeviceCopyDeterminism:
-    def test_worker_pools_stay_bit_identical_without_device_copies(
-        self, shared_decomposer
-    ):
-        """Regression guard for shipping noise programs instead of Device
-        deep copies to the pool: cold parallel == cold serial."""
-        kwargs = _study_kwargs(shared_decomposer)
-        clear_experiment_caches()
-        serial = run_study(**kwargs, workers=1)
-        clear_experiment_caches()
-        parallel = run_study(**kwargs, workers=2)
-        assert _rows(parallel) == _rows(serial)
-
     def test_cached_vectors_are_immutable(self, shared_decomposer):
         kwargs = _study_kwargs(shared_decomposer)
         clear_experiment_caches()
-        run_study(**kwargs, workers=1)
+        run_study(**kwargs)
         from repro.experiments.engine import _SIM_CACHE
 
         vector = next(iter(_SIM_CACHE.values()))

@@ -266,7 +266,6 @@ class TestFusedStudyEndToEnd:
             },
             options=SimulationOptions(shots=900, seed=5),
             decomposer=shared_decomposer,
-            workers=1,
         )
 
     def test_fused_study_matches_reference_study(self, shared_decomposer, monkeypatch):
@@ -287,22 +286,6 @@ class TestFusedStudyEndToEnd:
             )
             assert fused_result.two_qubit_counts == reference_result.two_qubit_counts
             assert fused_result.swap_counts == reference_result.swap_counts
-
-    def test_fused_kernel_is_deterministic_across_worker_pools(
-        self, shared_decomposer, monkeypatch
-    ):
-        """The production-default kernel must stay bit-identical between
-        inline execution and process-pool workers (the env knob has to
-        reach the workers, and the lowering must not depend on where it
-        runs)."""
-        kwargs = self._study_kwargs(shared_decomposer)
-        monkeypatch.setenv(SIM_KERNEL_ENV_VAR, "fused")
-        clear_experiment_caches()
-        serial = run_study(**{**kwargs, "workers": 1})
-        clear_experiment_caches()
-        parallel = run_study(**{**kwargs, "workers": 2})
-        for name, serial_result in serial.per_set.items():
-            assert parallel.per_set[name].metric_values == serial_result.metric_values
 
     def test_kernels_do_not_share_simulation_cache_entries(
         self, shared_decomposer, monkeypatch
